@@ -413,11 +413,13 @@ TEST(Cluster, ObservesDrainReroutesAndReadmitsAfterRestart) {
   std::string error;
   ASSERT_TRUE(cluster.call(ping, key, &error)) << error;
 
-  // Park a slow job on A, then start its graceful drain.
+  // Park a slow job on A, then start its graceful drain.  The job must
+  // outlive the drain handshake below by a wide margin (tens of ms), so
+  // it asks for many restarts rather than relying on a slow kernel.
   Client occupier;
   ASSERT_TRUE(occupier.connect("127.0.0.1", port_a));
   ASSERT_TRUE(
-      occupier.send(inline_request(gen_con(3, 30, 34), "slow", 16).dump()));
+      occupier.send(inline_request(gen_con(3, 30, 34), "slow", 512).dump()));
   for (int i = 0; i < 500 && a->stats().requests_admitted < 1; ++i)
     sleep_ms(2);
   ASSERT_GE(a->stats().requests_admitted, 1);
@@ -561,7 +563,8 @@ TEST(Cluster, DrainSnapshotsThePersistCacheBeforeTheFinalReply) {
 
   Client c;
   ASSERT_TRUE(c.connect("127.0.0.1", server.port()));
-  ASSERT_TRUE(c.send(inline_request(gen_con(9, 20, 24), "final", 8).dump()));
+  // Enough restarts that the job is still running when the drain starts.
+  ASSERT_TRUE(c.send(inline_request(gen_con(9, 20, 24), "final", 256).dump()));
   for (int i = 0; i < 500 && server.stats().requests_admitted < 1; ++i)
     sleep_ms(2);
   ASSERT_GE(server.stats().requests_admitted, 1);
