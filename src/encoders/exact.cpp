@@ -1,5 +1,6 @@
 #include "encoders/exact.h"
 
+#include <limits>
 #include <stdexcept>
 
 #include "constraints/dichotomy.h"
@@ -9,9 +10,16 @@ namespace picola {
 
 namespace {
 
-long count_assignments(int cells, int symbols) {
+// Number of injective code assignments with symbol 0 pinned.  Stops
+// multiplying once the product exceeds `cap` (the full product overflows
+// long on large problems), so any result above `cap` means "too many".
+long count_assignments(int cells, int symbols, long cap) {
+  if (symbols > cells) return 0;  // a zero factor: no injective assignment
   long total = 1;
-  for (int i = 1; i < symbols; ++i) total *= cells - i;  // symbol 0 pinned
+  for (int i = 1; i < symbols && total <= cap; ++i) {
+    if (__builtin_mul_overflow(total, cells - i, &total))
+      return std::numeric_limits<long>::max();
+  }
   return total;
 }
 
@@ -21,7 +29,7 @@ ExactResult exact_encode(const ConstraintSet& cs, const ExactOptions& opt) {
   const int n = cs.num_symbols;
   const int nv = opt.num_bits > 0 ? opt.num_bits : Encoding::min_bits(n);
   const int cells = 1 << nv;
-  if (count_assignments(cells, n) > opt.max_candidates)
+  if (count_assignments(cells, n, opt.max_candidates) > opt.max_candidates)
     throw std::invalid_argument("exact_encode: search space too large");
 
   Encoding e;
