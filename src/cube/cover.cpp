@@ -36,15 +36,33 @@ void Cover::remove_contained() {
   cubes_ = std::move(kept);
 }
 
-void Cover::sort_by_size_desc(const CubeSpace& s) {
-  std::stable_sort(cubes_.begin(), cubes_.end(),
-                   [&](const Cube& a, const Cube& b) {
-                     uint64_t ma = a.num_minterms(s);
-                     uint64_t mb = b.num_minterms(s);
-                     if (ma != mb) return ma > mb;
-                     return a < b;
-                   });
+namespace {
+
+// Stable sort by (minterm count, cube), the count ascending or descending;
+// each count is computed once instead of once per comparison.
+void sort_by_size(std::vector<Cube>& cubes, const CubeSpace& s, bool desc) {
+  std::vector<std::pair<uint64_t, int>> key(cubes.size());
+  for (size_t i = 0; i < cubes.size(); ++i)
+    key[i] = {cubes[i].num_minterms(s), static_cast<int>(i)};
+  std::stable_sort(key.begin(), key.end(), [&](const auto& a, const auto& b) {
+    if (a.first != b.first) return desc ? a.first > b.first : a.first < b.first;
+    return cubes[static_cast<size_t>(a.second)] <
+           cubes[static_cast<size_t>(b.second)];
+  });
+  std::vector<Cube> sorted;
+  sorted.reserve(cubes.size());
+  for (const auto& k : key)
+    sorted.push_back(std::move(cubes[static_cast<size_t>(k.second)]));
+  cubes = std::move(sorted);
 }
+
+}  // namespace
+
+void Cover::sort_by_size_desc(const CubeSpace& s) {
+  sort_by_size(cubes_, s, /*desc=*/true);
+}
+
+void Cover::sort_by_size_asc() { sort_by_size(cubes_, space_, /*desc=*/false); }
 
 void Cover::for_each_minterm(
     const CubeSpace& s, const std::function<void(const std::vector<int>&)>& fn) {

@@ -51,6 +51,9 @@ class Cover {
   /// "largest first" order), breaking ties lexicographically for
   /// determinism.
   void sort_by_size_desc(const CubeSpace& s);
+  /// The reverse size order: fewest minterms first, ties broken
+  /// lexicographically.
+  void sort_by_size_asc();
 
   /// Total number of minterms covered — computed exactly by enumerating the
   /// space, so intended for small spaces (tests only).

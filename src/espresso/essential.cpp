@@ -12,12 +12,8 @@ std::pair<Cover, Cover> essential_split(const Cover& F, const Cover& D) {
   Cover ess(s);
   Cover rest(s);
   for (int i = 0; i < F.size(); ++i) {
-    Cover others(s);
-    others.reserve(F.size() + D.size());
-    for (int j = 0; j < F.size(); ++j)
-      if (j != i) others.add(F[j]);
-    others.append(D);
-    if (cover_contains_cube(others, F[i]))
+    // Covered by the other cubes plus D?
+    if (is_tautology(detail::cofactor_of_rest(F, i, D)))
       rest.add(F[i]);
     else
       ess.add(F[i]);

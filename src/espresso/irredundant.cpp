@@ -12,21 +12,12 @@ Cover irredundant(Cover F, const Cover& D) {
   F.remove_empty();
   F.remove_contained();
   // Try to remove small cubes first so the big primes carry the cover.
-  std::stable_sort(F.cubes().begin(), F.cubes().end(),
-                   [&](const Cube& a, const Cube& b) {
-                     uint64_t ma = a.num_minterms(s);
-                     uint64_t mb = b.num_minterms(s);
-                     if (ma != mb) return ma < mb;
-                     return a < b;
-                   });
+  F.sort_by_size_asc();
   std::vector<bool> removed(static_cast<size_t>(F.size()), false);
   for (int i = 0; i < F.size(); ++i) {
-    Cover rest(s);
-    rest.reserve(F.size() + D.size());
-    for (int j = 0; j < F.size(); ++j)
-      if (j != i && !removed[static_cast<size_t>(j)]) rest.add(F[j]);
-    rest.append(D);
-    if (cover_contains_cube(rest, F[i])) removed[static_cast<size_t>(i)] = true;
+    // F[i] is redundant when the rest of the cover plus D contains it.
+    if (is_tautology(detail::cofactor_of_rest(F, i, D, &removed)))
+      removed[static_cast<size_t>(i)] = true;
   }
   Cover out(s);
   for (int i = 0; i < F.size(); ++i)

@@ -61,6 +61,21 @@ std::vector<bool> nonfull_literal_union(const Cover& F, int var) {
   return u;
 }
 
+Cover cofactor_of_rest(const Cover& F, int i, const Cover& D,
+                       const std::vector<bool>* removed) {
+  const CubeSpace& s = F.space();
+  const Cube& c = F[i];
+  Cover r(s);
+  auto take = [&](const Cube& f) {
+    auto cf = f.cofactor(c, s);
+    if (cf) r.add(std::move(*cf));
+  };
+  for (int j = 0; j < F.size(); ++j)
+    if (j != i && !(removed && (*removed)[static_cast<size_t>(j)])) take(F[j]);
+  for (const Cube& d : D.cubes()) take(d);
+  return r;
+}
+
 Cube part_cube(const CubeSpace& s, int var, int p) {
   Cube c = Cube::full(s);
   c.clear_var(s, var);
