@@ -60,14 +60,29 @@ void BM_Minimize(benchmark::State& state) {
 }
 BENCHMARK(BM_Minimize)->Arg(6)->Arg(10)->Arg(14);
 
+void BM_Expand(benchmark::State& state) {
+  // First EXPAND of the symbolic minimisation of a Table I machine: its
+  // one-hot onset raised against the complement of onset + dc-set.
+  static const char* kNames[] = {"planet", "scf", "tbk"};
+  Cover onset, dc;
+  build_symbolic_cover(make_benchmark(kNames[state.range(0)]), &onset, &dc);
+  onset.remove_contained();
+  const Cover R = esp::complement_fd(onset, dc);
+  for (auto _ : state) benchmark::DoNotOptimize(esp::expand(onset, R).size());
+  state.SetLabel(kNames[state.range(0)]);
+}
+BENCHMARK(BM_Expand)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+
 void BM_DeriveConstraints(benchmark::State& state) {
-  static const char* kNames[] = {"lion9", "ex2", "keyb", "planet"};
+  static const char* kNames[] = {"lion9", "ex2", "keyb", "planet", "tbk"};
   Fsm fsm = make_benchmark(kNames[state.range(0)]);
   for (auto _ : state)
     benchmark::DoNotOptimize(derive_face_constraints(fsm).set.size());
   state.SetLabel(kNames[state.range(0)]);
 }
-BENCHMARK(BM_DeriveConstraints)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_DeriveConstraints)
+    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PicolaEncode(benchmark::State& state) {
   static const char* kNames[] = {"lion9", "ex2", "keyb", "planet", "scf"};
