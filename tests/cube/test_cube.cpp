@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "cube/cube.h"
 
 namespace picola {
@@ -149,6 +151,43 @@ TEST(CubeMv, SetAndClearDoNotTouchNeighbours) {
   EXPECT_TRUE(c.var_empty(s, 1));
   c.set_var_full(s, 1);
   EXPECT_EQ(c, Cube::full(s));
+}
+
+TEST(CubeMv, WordParallelTestsMatchPerVariableLiterals) {
+  // distance, intersects and is_empty test the binary variables of a word
+  // together; compare them with the per-variable literals.  Spaces: a
+  // binary variable straddling bit 64 (parts 63..64), multi-valued ones
+  // straddling words, and cubes wider than the inline word storage.
+  std::vector<int> straddle(31, 2);
+  straddle.push_back(1);
+  straddle.insert(straddle.end(), 5, 2);
+  const std::vector<CubeSpace> spaces = {
+      CubeSpace::multi_valued(straddle),
+      CubeSpace::multi_valued({30, 20, 13, 2, 25, 7, 42, 9, 2, 2}),
+      CubeSpace::fsm_layout(70, 40, 90),
+  };
+  ASSERT_EQ(spaces[0].offset(32), 63);
+  std::mt19937 rng(5);
+  for (const CubeSpace& s : spaces) {
+    for (int trial = 0; trial < 300; ++trial) {
+      Cube a = Cube::full(s), b = Cube::full(s);
+      for (Cube* c : {&a, &b})
+        for (int v = 0; v < s.num_vars(); ++v)
+          for (int p = 0; p < s.parts(v); ++p)
+            if (rng() % 3 == 0) c->set(s, v, p, false);
+      int want = 0;
+      const Cube x = a.intersect(b);
+      for (int v = 0; v < s.num_vars(); ++v) want += x.var_empty(s, v);
+      bool a_empty = false;
+      for (int v = 0; v < s.num_vars(); ++v) a_empty |= a.var_empty(s, v);
+      EXPECT_EQ(a.distance(b, s), want);
+      EXPECT_EQ(a.intersects(b, s), want == 0);
+      EXPECT_EQ(a.is_empty(s), a_empty);
+      Cube copy = a;  // copies and moves keep the words
+      Cube moved = std::move(copy);
+      EXPECT_EQ(moved, a);
+    }
+  }
 }
 
 }  // namespace
